@@ -15,8 +15,7 @@ from .penalty import (PenaltyGradient, RegularizerConfig, frob_sq_grad,
                       gradient_direct, gradient_fast, gradient_fd,
                       gram_entry_derivative, penalty)
 from .rng import SeededGaussian, splitmix64
-from .spectrum import (SpectralEstimate, objective_gap,
-                       power_iteration, singular_extrema)
+from .spectrum import SpectralEstimate, objective_gap, singular_extrema
 from .tensors import (ConfigurationError, FeatureMap, Kernel, conv_multi,
                       conv_single, delta_kernel, random_kernel, tensor_from_json,
                       tensor_to_json, unvec, vec)
@@ -32,7 +31,7 @@ __all__ = [
     "TransformMatrix", "build_transform", "conv_multi", "conv_single",
     "delta_kernel", "descend", "frob_sq_grad", "gradient_direct",
     "gradient_fast", "gradient_fd", "gram_entry_derivative", "objective_gap",
-    "omega_cardinality", "penalty", "power_iteration", "random_kernel",
+    "omega_cardinality", "penalty", "random_kernel",
     "read_trajectory_csv", "singular_extrema", "splitmix64",
     "tensor_from_json", "tensor_to_json", "unvec", "vec",
     "write_coordinate_file", "write_trajectory_csv",

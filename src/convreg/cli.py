@@ -112,8 +112,7 @@ def _run_one(k0: Kernel, cfg: RunConfig, schedule: StepSchedule,
 
 def cmd_optimize(args) -> int:
     cfg = RunConfig(alpha=args.alpha, n=args.n, max_iter=args.max_iter,
-                    stop_tol=args.stop_tol, spectrum_every=args.spectrum_every,
-                    seed=args.seed)
+                    stop_tol=args.stop_tol, spectrum_every=args.spectrum_every)
     csv_path = Path(args.out)
     code, result = _run_one(_initial_kernel(args), cfg, args.schedule, csv_path)
     if result is None:
@@ -169,8 +168,7 @@ def cmd_suite(args) -> int:
     worst = EXIT_OK
     for g, h in SUITE_SHAPES:
         cfg = RunConfig(alpha=args.alpha, n=args.n, max_iter=args.max_iter,
-                        stop_tol=args.stop_tol, spectrum_every=args.spectrum_every,
-                        seed=args.seed)
+                        stop_tol=args.stop_tol, spectrum_every=args.spectrum_every)
         k0 = random_kernel(3, g, h, args.seed)
         csv_path = out_dir / f"traj_3x3x{g}x{h}.csv"
         code, result = _run_one(k0, cfg, args.schedule, csv_path)

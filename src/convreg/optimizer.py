@@ -97,7 +97,6 @@ class RunConfig:
     max_iter: int = 500
     stop_tol: float = 0.05
     spectrum_every: int | None = None
-    seed: int = 1
 
     def __post_init__(self):
         if self.max_iter < 1:

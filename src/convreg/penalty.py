@@ -1,16 +1,26 @@
 """Frobenius penalty ||M^T M - alpha I||_F^2 and its kernel gradient.
 
+``penalty`` and ``gradient_fast`` work on the Gram matrix S of the
+smaller side of M (``transform.gram_of``): S = M^T M when M is tall or square, else
+M M^T.  The two Grams share their nonzero eigenvalues, and M^T M of a
+wide M has cols - rows extra zero eigenvalues, so
+
+    ||M^T M - alpha I||_F^2 = ||S - alpha I||_F^2
+                              + alpha^2 * max(cols - rows, 0).
+
 Three gradient routes with one contract:
 
+* ``gradient_fast`` -- the derivative of the penalty in a single matrix
+  slot (i, j) is 4*(M E)[i, j] with E = M^T M - alpha I, and
+  M E = M (S - alpha I) for tall M, (S - alpha I) M for wide M.  The
+  kernel gradient is 4 times the per-coordinate sums of that sparse
+  product, sampled at M's slots, over the omega sets.  This is the
+  production route.
 * ``gradient_direct`` -- literal per-slot summation: for every omega
   position (i, j) of a kernel coordinate, accumulate
-  sum_t E[j,t]*M[i,t] + sum_s E[s,j]*M[i,s] with E = M^T M - alpha I,
-  then double (the returned tensor is the full derivative).  Dense and
-  slow; exists for verification.
-* ``gradient_fast`` -- uses the symmetry of E: the derivative of the
-  penalty in a single matrix slot (i, j) is 4*(M E)[i, j], so the
-  kernel gradient is 4 times the per-coordinate sums of M E over the
-  omega sets.  This is the production route.
+  sum_t E[j,t]*M[i,t] + sum_s E[s,j]*M[i,s] with the dense
+  E = M^T M - alpha I, then double (the returned tensor is the full
+  derivative).  Dense and slow; exists for verification.
 * ``gradient_fd`` -- central finite differences of the penalty; the
   test oracle.
 """
@@ -68,27 +78,28 @@ def _prepared(kernel: Kernel, cfg: RegularizerConfig,
     return tm
 
 
-def _residual(tm: TransformMatrix, alpha: float) -> sp.csr_array:
-    """E = M^T M - alpha I, sparse."""
+def _residual(tm: TransformMatrix, alpha: float) -> tuple[sp.csr_array, float]:
+    """S - alpha I for the Gram S of ``tm``, and the penalty value."""
     gram = tm.gram()
-    eye = sp.eye_array(tm.cols, format="csr")
-    return (gram - alpha * eye).tocsr()
+    dim = gram.shape[0]
+    resid = (gram - alpha * sp.eye_array(dim, format="csr")).tocsr()
+    # a wide M's Gram M^T M has cols - dim more zero eigenvalues than S
+    return resid, float(np.dot(resid.data, resid.data)) + alpha ** 2 * (tm.cols - dim)
 
 
 def penalty(kernel: Kernel, cfg: RegularizerConfig,
             tm: TransformMatrix | None = None) -> float:
-    """Penalty value sum of squares of (M^T M - alpha I)."""
-    e = _residual(_prepared(kernel, cfg, tm), cfg.alpha)
-    return float(np.dot(e.data, e.data))
+    """Penalty value, the sum of squares of M^T M - alpha I."""
+    return _residual(_prepared(kernel, cfg, tm), cfg.alpha)[1]
 
 
 def gradient_fast(kernel: Kernel, cfg: RegularizerConfig,
                   tm: TransformMatrix | None = None) -> PenaltyGradient:
     """Full penalty gradient via per-coordinate sums of 4 * (M E)."""
     tm = _prepared(kernel, cfg, tm)
-    e = _residual(tm, cfg.alpha)
-    pen = float(np.dot(e.data, e.data))
-    prod = (tm.csr @ e).toarray()
+    resid, pen = _residual(tm, cfg.alpha)
+    # M E, read below only at M's slots
+    prod = tm.csr @ resid if resid.shape[0] == tm.cols else resid @ tm.csr
     slot_rows, slot_cols = tm.slot_positions()
     sums = np.bincount(tm.gather_coords(),
                        weights=prod[slot_rows, slot_cols],
@@ -101,13 +112,12 @@ def gradient_direct(kernel: Kernel, cfg: RegularizerConfig,
                     tm: TransformMatrix | None = None) -> PenaltyGradient:
     """Full penalty gradient by literal summation over the omega sets.
 
-    Materializes M and E densely; intended for small geometries only.
+    Materializes M and E = M^T M - alpha I densely; intended for small
+    geometries only.  The carried penalty value is ``penalty``'s.
     """
     tm = _prepared(kernel, cfg, tm)
-    e_sparse = _residual(tm, cfg.alpha)
-    pen = float(np.dot(e_sparse.data, e_sparse.data))
-    e = e_sparse.toarray()
     m_dense = tm.to_dense()
+    e = m_dense.T @ m_dense - cfg.alpha * np.eye(tm.cols)
     k, g, h = kernel.k, kernel.g, kernel.h
     grad = np.zeros((k, k, g, h))
     for p in range(k):
@@ -119,7 +129,8 @@ def gradient_direct(kernel: Kernel, cfg: RegularizerConfig,
                         total += float(np.dot(e[j, :], m_dense[i, :]))
                         total += float(np.dot(e[:, j], m_dense[i, :]))
                     grad[p, q, z, y] = 2.0 * total
-    return PenaltyGradient(values=grad, alpha=cfg.alpha, penalty=pen)
+    return PenaltyGradient(values=grad, alpha=cfg.alpha,
+                           penalty=penalty(kernel, cfg, tm))
 
 
 def gradient_fd(kernel: Kernel, cfg: RegularizerConfig,

@@ -1,14 +1,10 @@
 """Extreme singular values of the transformation matrix.
 
-sigma_max comes from power iteration on the smaller of M^T M / M M^T
-with a deterministic all-ones start vector; sigma_min from a dense
-symmetric eigendecomposition of that same Gram matrix, exact at desk
-scale.  When the power iteration exhausts its budget without meeting
-the residual tolerance (nearly equal top eigenvalues), sigma_max is
-read off that same eigendecomposition instead, so the returned
-estimates are reliable either way.  A pure dense-SVD path over the
-materialized matrix serves as the oracle.  sigma_min is the smallest
-of the min(rows, cols) singular values, zeros included.
+Both extremes come from one dense symmetric eigendecomposition of the
+Gram matrix on M's smaller side (``transform.gram_of``), exact at desk
+scale.  A pure dense-SVD path over the materialized matrix serves as
+the oracle.  sigma_min is the smallest of the min(rows, cols) singular
+values, zeros included.
 """
 
 from __future__ import annotations
@@ -20,16 +16,13 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .tensors import ConfigurationError
-from .transform import TransformMatrix
+from .transform import TransformMatrix, gram_of
 
 
 @dataclass(frozen=True)
 class SpectralEstimate:
     sigma_max: float
     sigma_min: float
-    iterations_used: int
-    converged: bool
-    method: str  # "dense" or "iterative"
 
     def __post_init__(self):
         if not (self.sigma_max >= self.sigma_min >= 0.0):
@@ -50,72 +43,22 @@ def _as_matrix(m) -> sp.csr_array | np.ndarray:
     return np.asarray(m, dtype=np.float64)
 
 
-def _smaller_gram(a) -> sp.csr_array | np.ndarray:
-    """M^T M or M M^T, whichever is square of the smaller dimension."""
-    rows, cols = a.shape
-    return (a.T @ a) if cols <= rows else (a @ a.T)
+def singular_extrema(m, method: str = "gram") -> SpectralEstimate:
+    """sigma_max and sigma_min of a transformation matrix.
 
-
-def power_iteration(s, tol: float, max_iter: int) -> tuple[float, int, bool]:
-    """Largest eigenvalue of the symmetric PSD operator ``s``.
-
-    Starts from the normalized all-ones vector and stops when the
-    residual ||s v - lambda v|| falls to tol * max(1, lambda).  For a
-    symmetric operator that residual bounds the distance from lambda to
-    a true eigenvalue, so a converged result is reliable; a Rayleigh
-    quotient that merely stops moving is not, because nearly equal top
-    eigenvalues make the change per iteration arbitrarily small while
-    the error stays large.  Returns (eigenvalue estimate, iterations
-    used, converged flag); non-convergence means the top of the
-    spectrum is too clustered to separate within the budget.
+    ``method="gram"`` is the production path described in the module
+    docstring; ``method="dense"`` computes the full dense SVD of the
+    materialized matrix and is the oracle.
     """
-    n = s.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    rayleigh = 0.0
-    for it in range(1, max_iter + 1):
-        w = s @ v
-        rayleigh = float(v @ w)
-        residual = float(np.linalg.norm(w - rayleigh * v))
-        if residual <= tol * max(1.0, abs(rayleigh)):
-            return rayleigh, it, True
-        v = w / float(np.linalg.norm(w))
-    return rayleigh, max_iter, False
-
-
-def singular_extrema(m, tol: float = 1e-10, max_iter: int = 5000,
-                     method: str = "iterative") -> SpectralEstimate:
-    """Estimate sigma_max and sigma_min of a transformation matrix.
-
-    ``method="iterative"`` is the production path described in the
-    module docstring; ``method="dense"`` computes the full dense SVD of
-    the materialized matrix and is exact.
-    """
-    if tol <= 0:
-        raise ConfigurationError(f"tolerance must be positive, got {tol}")
     a = _as_matrix(m)
-
     if method == "dense":
-        dense = a.toarray() if sp.issparse(a) else a
-        sv = sla.svdvals(dense)
-        return SpectralEstimate(sigma_max=float(sv[0]), sigma_min=float(sv[-1]),
-                                iterations_used=0, converged=True, method="dense")
-    if method != "iterative":
+        sv = sla.svdvals(a.toarray() if sp.issparse(a) else a)
+        return SpectralEstimate(sigma_max=float(sv[0]), sigma_min=float(sv[-1]))
+    if method != "gram":
         raise ConfigurationError(f"unknown spectral method {method!r}")
 
-    gram = _smaller_gram(a)
-    lam_max, used, converged = power_iteration(gram, tol=tol, max_iter=max_iter)
-    gram_dense = gram.toarray() if sp.issparse(gram) else gram
-    eigs = sla.eigvalsh(gram_dense)
-    if not converged:
-        # Power iteration stalls when the top eigenvalues are nearly
-        # equal; the eigendecomposition just computed for sigma_min has
-        # the exact answer, so use it and report a reliable estimate.
-        lam_max = float(eigs[-1])
-        converged = True
-    sigma_min = float(np.sqrt(max(eigs[0], 0.0)))
-    sigma_max = float(np.sqrt(max(lam_max, 0.0)))
-    # a flat spectrum can leave the power estimate a hair below sigma_min
-    sigma_max = max(sigma_max, sigma_min)
-    return SpectralEstimate(sigma_max=sigma_max, sigma_min=sigma_min,
-                            iterations_used=used, converged=converged,
-                            method="iterative")
+    gram = gram_of(a)
+    eigs = sla.eigvalsh(gram.toarray() if sp.issparse(gram) else gram)
+    # rounding can push an eigenvalue of a singular Gram a hair below 0
+    return SpectralEstimate(sigma_max=float(np.sqrt(max(eigs[-1], 0.0))),
+                            sigma_min=float(np.sqrt(max(eigs[0], 0.0))))

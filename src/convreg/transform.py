@@ -144,8 +144,8 @@ class TransformMatrix:
         return self._csr @ x
 
     def gram(self) -> sp.csr_array:
-        """M^T M as a sparse symmetric matrix of size g*N^2."""
-        return (self._csr.T @ self._csr).tocsr()
+        """Gram matrix on M's smaller side (see ``gram_of``), sparse CSR."""
+        return gram_of(self._csr).tocsr()
 
     def omega(self, p: int, q: int, z: int, y: int) -> list[tuple[int, int]]:
         """All (i, j) positions of M carrying kernel entry (p, q, z, y).
@@ -181,6 +181,18 @@ class TransformMatrix:
 
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
+
+
+def gram_of(a):
+    """Gram matrix of ``a`` on its smaller side.
+
+    M^T M when cols <= rows, else M M^T.  Both share their nonzero
+    eigenvalues; the smaller one holds the min(rows, cols) squared
+    singular values of ``a``, and the larger one only adds
+    |rows - cols| zeros.
+    """
+    rows, cols = a.shape
+    return (a.T @ a) if cols <= rows else (a @ a.T)
 
 
 def build_transform(kernel: Kernel, n: int) -> TransformMatrix:

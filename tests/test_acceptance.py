@@ -78,7 +78,7 @@ def suite_runs():
     runs = {}
     for g, h in SUITE_SHAPES:
         cfg = RunConfig(alpha=1.0, n=20, max_iter=500, stop_tol=0.05,
-                        spectrum_every=1, seed=1)
+                        spectrum_every=1)
         t0 = time.perf_counter()
         result = descend(random_kernel(3, g, h, seed=1), cfg, StepSchedule.ramp())
         runs[(g, h)] = (result, time.perf_counter() - t0)
@@ -206,7 +206,7 @@ def test_criterion_5_small_steps_descend():
     details = []
     for g, h in SUITE_SHAPES:
         cfg = RunConfig(alpha=1.0, n=20, max_iter=50, stop_tol=0.0,
-                        spectrum_every=1000, seed=1)
+                        spectrum_every=1000)
         result = descend(random_kernel(3, g, h, seed=1), cfg,
                          StepSchedule.constant(1e-6))
         pens = [r.penalty for r in result.records]

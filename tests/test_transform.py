@@ -116,12 +116,16 @@ def test_gram_of_delta_is_identity():
 
 
 def test_gram_matches_naive_triple_loop():
-    kernel = random_kernel(3, 2, 1, seed=9)
-    tm = build_transform(kernel, 3)
-    want = oracles.naive_gram(tm.to_dense())
-    got = tm.gram().toarray()
-    assert np.allclose(got, want, rtol=0, atol=1e-13)
-    assert np.max(np.abs(got - got.T)) <= 1e-14
+    # The Gram is taken on M's smaller side: M M^T for wide M, M^T M
+    # for tall M.
+    wide = build_transform(random_kernel(3, 2, 1, seed=9), 3)
+    tall = build_transform(random_kernel(3, 1, 2, seed=9), 3)
+    for tm, want in ((wide, oracles.naive_gram(wide.to_dense().T)),
+                     (tall, oracles.naive_gram(tall.to_dense()))):
+        got = tm.gram().toarray()
+        assert got.shape == (min(tm.rows, tm.cols),) * 2
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
+        assert np.max(np.abs(got - got.T)) <= 1e-14
 
 
 @pytest.mark.parametrize("k,n", [(1, 4), (3, 4), (3, 7), (3, 10), (5, 7), (5, 10)])
