@@ -8,12 +8,11 @@ runs gradient descent that drives every singular value of M toward 1
 while preserving the convolution structure exactly.
 """
 
-from .cli import read_trajectory_csv, write_trajectory_csv
 from .optimizer import (DescentResult, DivergenceError, IterationRecord,
-                        RunConfig, StepSchedule, descend)
-from .penalty import (PenaltyGradient, RegularizerConfig, frob_sq_grad,
-                      gradient_direct, gradient_fast, gradient_fd,
-                      gram_entry_derivative, penalty)
+                        RunConfig, StepSchedule, descend, read_trajectory_csv,
+                        write_trajectory_csv)
+from .penalty import (PenaltyGradient, gradient_direct, gradient_fast,
+                      gradient_fd, penalty)
 from .rng import SeededGaussian, splitmix64
 from .spectrum import SpectralEstimate, objective_gap, singular_extrema
 from .tensors import (ConfigurationError, FeatureMap, Kernel, conv_multi,
@@ -24,13 +23,23 @@ from .transform import (TransformMatrix, build_transform, omega_cardinality,
 
 __version__ = "0.1.0"
 
+
+def __getattr__(name):
+    # ``convreg.cli`` resolves on first use: importing the library leaves
+    # the command line unimported, so ``python -m convreg.cli`` runs it
+    # as a fresh ``__main__``
+    if name == "cli":
+        import importlib
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "ConfigurationError", "DescentResult", "DivergenceError", "FeatureMap",
-    "IterationRecord", "Kernel", "PenaltyGradient", "RegularizerConfig",
-    "RunConfig", "SeededGaussian", "SpectralEstimate", "StepSchedule",
-    "TransformMatrix", "build_transform", "conv_multi", "conv_single",
-    "delta_kernel", "descend", "frob_sq_grad", "gradient_direct",
-    "gradient_fast", "gradient_fd", "gram_entry_derivative", "objective_gap",
+    "IterationRecord", "Kernel", "PenaltyGradient", "RunConfig",
+    "SeededGaussian", "SpectralEstimate", "StepSchedule", "TransformMatrix",
+    "build_transform", "conv_multi", "conv_single", "delta_kernel", "descend",
+    "gradient_direct", "gradient_fast", "gradient_fd", "objective_gap",
     "omega_cardinality", "penalty", "random_kernel",
     "read_trajectory_csv", "singular_extrema", "splitmix64",
     "tensor_from_json", "tensor_to_json", "unvec", "vec",

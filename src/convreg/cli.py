@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .optimizer import (DescentResult, DivergenceError, IterationRecord,
-                        RunConfig, StepSchedule, descend)
-from .penalty import RegularizerConfig, gradient_direct, gradient_fast, gradient_fd
+from .optimizer import (DescentResult, DivergenceError, RunConfig,
+                        StepSchedule, descend, write_trajectory_csv)
+from .penalty import gradient_direct, gradient_fast, gradient_fd
 from .tensors import ConfigurationError, Kernel, delta_kernel, random_kernel
 from .transform import build_transform, write_coordinate_file
 
@@ -34,36 +34,6 @@ EXIT_MAX_ITER = 3
 EXIT_DIVERGED = 4
 
 SUITE_SHAPES = ((3, 1), (1, 3), (3, 6), (6, 3))
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
-def write_trajectory_csv(records: list[IterationRecord], path) -> None:
-    """Write telemetry rows; numbers carry 17 significant digits and
-    sigma fields are empty on iterations where spectra were skipped.
-    """
-    lines = ["iter,lambda,penalty,grad_fro,sigma_max,sigma_min"]
-    for r in records:
-        smax = "" if r.sigma_max is None else _fmt(r.sigma_max)
-        smin = "" if r.sigma_min is None else _fmt(r.sigma_min)
-        lines.append(f"{r.iteration},{_fmt(r.lam)},{_fmt(r.penalty)},"
-                     f"{_fmt(r.grad_fro)},{smax},{smin}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_trajectory_csv(path) -> list[IterationRecord]:
-    lines = Path(path).read_text().splitlines()
-    records = []
-    for line in lines[1:]:
-        it, lam, pen, gf, smax, smin = line.split(",")
-        records.append(IterationRecord(
-            iteration=int(it), lam=float(lam), penalty=float(pen),
-            grad_fro=float(gf),
-            sigma_max=float(smax) if smax else None,
-            sigma_min=float(smin) if smin else None))
-    return records
 
 
 def _initial_kernel(args) -> Kernel:
@@ -136,13 +106,10 @@ def _max_rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_check_grad(args) -> int:
-    cfg = RegularizerConfig(alpha=args.alpha, n=args.n)
-    kernel = _initial_kernel(args)
-    fast = gradient_fast(kernel, cfg).values
-    direct = gradient_direct(kernel, cfg).values
-    fd = gradient_fd(kernel, cfg, step=args.fd_step).values
-    if args.corrupt_grad:
-        fast = fast + 0.01 * max(float(np.max(np.abs(fast))), 1.0)
+    tm = build_transform(_initial_kernel(args), args.n)
+    fast = gradient_fast(tm, args.alpha).values
+    direct = gradient_direct(tm, args.alpha).values
+    fd = gradient_fd(tm, args.alpha, step=args.fd_step).values
     errs = {
         "fast_vs_direct": _max_rel_err(fast, direct),
         "fast_vs_fd": _max_rel_err(fast, fd),
@@ -202,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--fd-step", type=float, default=1e-6)
     p.add_argument("--init-delta", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--corrupt-grad", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_check_grad)
 
     p = sub.add_parser("dump-matrix", help="write M in coordinate text form")

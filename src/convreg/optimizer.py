@@ -4,17 +4,19 @@ Each pass evaluates the penalty and its gradient at the current kernel,
 records telemetry, then takes the step K <- K - lambda * G.  A row of
 telemetry always describes the kernel *before* that pass's update, and
 the final row always describes the returned kernel (no trailing
-un-recorded update).
+un-recorded update).  The telemetry rows round-trip through the
+trajectory CSV (``write_trajectory_csv`` / ``read_trajectory_csv``).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .penalty import RegularizerConfig, gradient_fast
+from .penalty import gradient_fast
 from .spectrum import objective_gap, singular_extrema
 from .tensors import ConfigurationError, Kernel
 from .transform import build_transform
@@ -99,6 +101,10 @@ class RunConfig:
     spectrum_every: int | None = None
 
     def __post_init__(self):
+        if self.alpha < 0:
+            raise ConfigurationError(f"alpha must be nonnegative, got {self.alpha}")
+        if self.n < 1:
+            raise ConfigurationError(f"input size must be positive, got {self.n}")
         if self.max_iter < 1:
             raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.stop_tol < 0:
@@ -108,10 +114,6 @@ class RunConfig:
         if self.spectrum_every < 1:
             raise ConfigurationError(
                 f"spectrum_every must be >= 1, got {self.spectrum_every}")
-        self.regularizer()  # alpha and n share the penalty's validation
-
-    def regularizer(self) -> RegularizerConfig:
-        return RegularizerConfig(alpha=self.alpha, n=self.n)
 
 
 @dataclass(frozen=True)
@@ -124,6 +126,45 @@ class IterationRecord:
     grad_fro: float
     sigma_max: float | None = None
     sigma_min: float | None = None
+
+
+_CSV_HEADER = "iter,lambda,penalty,grad_fro,sigma_max,sigma_min"
+
+
+def _fmt(value: float) -> str:
+    return format(value, ".17g")
+
+
+def write_trajectory_csv(records: list[IterationRecord], path) -> None:
+    """Write telemetry rows; numbers carry 17 significant digits and
+    sigma fields are empty on iterations where spectra were skipped.
+    """
+    lines = [_CSV_HEADER]
+    for r in records:
+        smax = "" if r.sigma_max is None else _fmt(r.sigma_max)
+        smin = "" if r.sigma_min is None else _fmt(r.sigma_min)
+        lines.append(f"{r.iteration},{_fmt(r.lam)},{_fmt(r.penalty)},"
+                     f"{_fmt(r.grad_fro)},{smax},{smin}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_trajectory_csv(path) -> list[IterationRecord]:
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != _CSV_HEADER:
+        raise ConfigurationError(f"{path}: the header is not {_CSV_HEADER!r}")
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 6:
+            raise ConfigurationError(
+                f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
+        it, lam, pen, gf, smax, smin = fields
+        records.append(IterationRecord(
+            iteration=int(it), lam=float(lam), penalty=float(pen),
+            grad_fro=float(gf),
+            sigma_max=float(smax) if smax else None,
+            sigma_min=float(smin) if smin else None))
+    return records
 
 
 class DivergenceError(RuntimeError):
@@ -153,7 +194,6 @@ def descend(k0: Kernel, cfg: RunConfig, schedule: StepSchedule) -> DescentResult
             f"input size {cfg.n} is smaller than the filter size {k0.k}; "
             "the construction is valid but boundary slots dominate",
             stacklevel=2)
-    reg = cfg.regularizer()
     tm = build_transform(k0, cfg.n)
     kernel = k0
     records: list[IterationRecord] = []
@@ -161,11 +201,10 @@ def descend(k0: Kernel, cfg: RunConfig, schedule: StepSchedule) -> DescentResult
     converged = False
     for iteration in range(cfg.max_iter + 1):
         lam = schedule.rate(iteration)
-        try:
-            pg = gradient_fast(kernel, reg, tm)
-        except ConfigurationError as exc:
-            raise DivergenceError(f"diverged at iteration {iteration}: {exc}",
-                                  records) from exc
+        pg = gradient_fast(tm, cfg.alpha)
+        if not (np.isfinite(pg.penalty) and np.all(np.isfinite(pg.values))):
+            raise DivergenceError(f"diverged at iteration {iteration}: non-finite "
+                                  "gradient or penalty value", records)
         final = iteration == cfg.max_iter
         estimate = None
         if final or iteration % cfg.spectrum_every == 0:
@@ -191,4 +230,5 @@ def descend(k0: Kernel, cfg: RunConfig, schedule: StepSchedule) -> DescentResult
             raise DivergenceError(f"non-finite update at iteration {iteration}",
                                   records)
         kernel = Kernel(step)
+        tm.refresh(kernel)
     return DescentResult(kernel=kernel, records=records, converged=converged)

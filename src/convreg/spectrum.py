@@ -1,10 +1,11 @@
 """Extreme singular values of the transformation matrix.
 
 Both extremes come from one dense symmetric eigendecomposition of the
-Gram matrix on M's smaller side (``transform.gram_of``), exact at desk
-scale.  A pure dense-SVD path over the materialized matrix serves as
-the oracle.  sigma_min is the smallest of the min(rows, cols) singular
-values, zeros included.
+Gram matrix on M's smaller side (``transform.gram_of``; for a
+``TransformMatrix`` its cached ``gram()``), exact at desk scale.  A
+pure dense-SVD path over the materialized matrix serves as the oracle.
+sigma_min is the smallest of the min(rows, cols) singular values, zeros
+included.
 """
 
 from __future__ import annotations
@@ -50,14 +51,15 @@ def singular_extrema(m, method: str = "gram") -> SpectralEstimate:
     docstring; ``method="dense"`` computes the full dense SVD of the
     materialized matrix and is the oracle.
     """
-    a = _as_matrix(m)
     if method == "dense":
+        a = _as_matrix(m)
         sv = sla.svdvals(a.toarray() if sp.issparse(a) else a)
         return SpectralEstimate(sigma_max=float(sv[0]), sigma_min=float(sv[-1]))
     if method != "gram":
         raise ConfigurationError(f"unknown spectral method {method!r}")
 
-    gram = gram_of(a)
+    # a TransformMatrix hands over the Gram the penalty already formed
+    gram = m.gram() if isinstance(m, TransformMatrix) else gram_of(_as_matrix(m))
     eigs = sla.eigvalsh(gram.toarray() if sp.issparse(gram) else gram)
     # rounding can push an eigenvalue of a singular Gram a hair below 0
     return SpectralEstimate(sigma_max=float(np.sqrt(max(eigs[-1], 0.0))),

@@ -194,9 +194,14 @@ def tensor_to_json(values: np.ndarray) -> str:
 
 
 def tensor_from_json(text: str) -> np.ndarray:
-    doc = json.loads(text)
-    k, g, h = int(doc["k"]), int(doc["g"]), int(doc["h"])
-    data = np.array(doc["data"], dtype=np.float64)
+    try:
+        doc = json.loads(text)
+        k, g, h = int(doc["k"]), int(doc["g"]), int(doc["h"])
+        data = np.array(doc["data"], dtype=np.float64)
+    except (ValueError, KeyError, TypeError) as exc:
+        # bad syntax, a non-object document, a missing field, non-numbers
+        raise ConfigurationError(
+            f"malformed kernel JSON ({type(exc).__name__}: {exc})") from exc
     if data.size != k * k * g * h:
         raise ConfigurationError(
             f"kernel JSON claims {k}x{k}x{g}x{h} but carries {data.size} numbers")

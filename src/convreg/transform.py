@@ -9,10 +9,10 @@ offset lands inside the filter.
 
 Every structural slot is stored explicitly, including value-zero ones,
 so the sparsity pattern depends only on the geometry (k, g, h, N) and
-survives arbitrary kernel updates.  The omega index maps record, for
-every kernel coordinate (p, q, z, y), all matrix positions carrying that
-coordinate's value; gradient accumulation and in-place value refresh
-both run through them.
+survives arbitrary kernel updates.  Each stored slot records the flat
+kernel coordinate (p, q, z, y) whose value it carries; gradient
+accumulation, in-place value refresh and the omega sets (all matrix
+positions of one coordinate) all run through that map.
 """
 
 from __future__ import annotations
@@ -53,8 +53,7 @@ class TransformMatrix:
     def __init__(self, kernel: Kernel, n: int):
         if n < 1:
             raise ConfigurationError(f"input size must be positive, got {n}")
-        k, g, h, m = kernel.k, kernel.g, kernel.h, kernel.m
-        self.geometry = Geometry(k=k, g=g, h=h, n=n, m=m)
+        self.geometry = Geometry(k=kernel.k, g=kernel.g, h=kernel.h, n=n, m=kernel.m)
 
         rows, cols, coords = self._structure(self.geometry)
         # Canonical CSR layout under our own control: sort by (row, col)
@@ -68,13 +67,7 @@ class TransformMatrix:
         self._csr = sp.csr_array(
             (kernel.values.reshape(-1)[coords], cols, indptr),
             shape=(self.geometry.rows, self.geometry.cols))
-
-        # omega lookup: entry slots grouped by kernel coordinate
-        om_order = np.argsort(coords, kind="stable")
-        self._om_rows = rows[om_order]
-        self._om_cols = cols[om_order]
-        om_counts = np.bincount(coords, minlength=k * k * g * h)
-        self._om_indptr = np.concatenate(([0], np.cumsum(om_counts)))
+        self._gram: sp.csr_array | None = None
 
     @staticmethod
     def _structure(geo: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,6 +128,7 @@ class TransformMatrix:
                 f"kernel {kernel.values.shape} does not match geometry "
                 f"({geo.k}, {geo.k}, {geo.g}, {geo.h})")
         self._csr.data[:] = kernel.values.reshape(-1)[self._gather]
+        self._gram = None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -144,8 +138,14 @@ class TransformMatrix:
         return self._csr @ x
 
     def gram(self) -> sp.csr_array:
-        """Gram matrix on M's smaller side (see ``gram_of``), sparse CSR."""
-        return gram_of(self._csr).tocsr()
+        """Gram matrix on M's smaller side (see ``gram_of``), sparse CSR.
+
+        Formed once per set of values and kept until the next
+        ``refresh``; treat it as read-only.
+        """
+        if self._gram is None:
+            self._gram = gram_of(self._csr).tocsr()
+        return self._gram
 
     def omega(self, p: int, q: int, z: int, y: int) -> list[tuple[int, int]]:
         """All (i, j) positions of M carrying kernel entry (p, q, z, y).
@@ -159,9 +159,9 @@ class TransformMatrix:
                 f"kernel coordinate ({p}, {q}, {z}, {y}) out of range for "
                 f"({geo.k}, {geo.k}, {geo.g}, {geo.h})")
         coord = ((p * geo.k + q) * geo.g + z) * geo.h + y
-        lo, hi = self._om_indptr[coord], self._om_indptr[coord + 1]
-        return list(zip(self._om_rows[lo:hi].tolist(),
-                        self._om_cols[lo:hi].tolist()))
+        hits = np.flatnonzero(self._gather == coord)
+        rows, cols = self.slot_positions()
+        return list(zip(rows[hits].tolist(), cols[hits].tolist()))
 
     def gather_coords(self) -> np.ndarray:
         """Flat kernel-coordinate id of every stored slot, CSR data order.

@@ -22,7 +22,6 @@ import oracles
 from convreg import (
     FeatureMap,
     Kernel,
-    RegularizerConfig,
     RunConfig,
     SeededGaussian,
     StepSchedule,
@@ -157,10 +156,10 @@ def test_criterion_3_gradient_routes_agree():
     worst_fd = 0.0
     for idx, (k, g, h, n) in enumerate(cases):
         kernel = random_kernel(k, g, h, seed=300 + idx)
-        cfg = RegularizerConfig(alpha=1.0, n=n)
-        fast = gradient_fast(kernel, cfg).values
-        direct = gradient_direct(kernel, cfg).values
-        fd = gradient_fd(kernel, cfg, step=1e-6).values
+        tm = build_transform(kernel, n)
+        fast = gradient_fast(tm, 1.0).values
+        direct = gradient_direct(tm, 1.0).values
+        fd = gradient_fd(tm, 1.0, step=1e-6).values
         worst_direct = max(worst_direct, rel_gap(fast, direct))
         worst_fd = max(worst_fd, rel_gap(fast, fd), rel_gap(direct, fd))
     elapsed = time.perf_counter() - t0
@@ -266,8 +265,9 @@ def test_criterion_8_identity_start_is_stationary():
     for g, h, n in ((1, 1, 8), (3, 3, 5)):
         kernel = delta_kernel(3, g=g, h=h)
         cfg = RunConfig(alpha=1.0, n=n, max_iter=10, stop_tol=0.0)
-        pen = penalty(kernel, cfg.regularizer())
-        grad = gradient_fast(kernel, cfg.regularizer()).values
+        tm = build_transform(kernel, n)
+        pen = penalty(tm, cfg.alpha)
+        grad = gradient_fast(tm, cfg.alpha).values
         result = descend(kernel, cfg, StepSchedule.ramp())
         ok = (ok and pen == 0.0
               and np.array_equal(grad, np.zeros_like(grad))

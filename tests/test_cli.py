@@ -1,13 +1,20 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import convreg.cli
 from convreg import (
+    ConfigurationError,
     IterationRecord,
     Kernel,
+    PenaltyGradient,
     build_transform,
     delta_kernel,
     random_kernel,
@@ -36,6 +43,48 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert lines[0] == "iter,lambda,penalty,grad_fro,sigma_max,sigma_min"
     assert lines[2].endswith(",,")     # skipped spectra leave empty fields
     assert read_trajectory_csv(path) == records
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "iter,lambda,penalty\n0,1e-05,1,2,,\n",
+    "iter;lambda;penalty;grad_fro;sigma_max;sigma_min\n",
+])
+def test_trajectory_csv_with_a_wrong_header_rejected(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError):
+        read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("row", ["0,1e-05,1,2,3", "0,1e-05,1,2,3,4,5"])
+def test_trajectory_csv_row_without_six_fields_rejected(tmp_path, row):
+    path = tmp_path / "t.csv"
+    path.write_text("iter,lambda,penalty,grad_fro,sigma_max,sigma_min\n" + row + "\n")
+    with pytest.raises(ConfigurationError):
+        read_trajectory_csv(path)
+
+
+def _run_python(*args):
+    src = str(Path(convreg.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_module_entry_point_runs_without_import_warnings():
+    # the package must not import its own CLI, or `python -m convreg.cli`
+    # warns that the module was already in sys.modules
+    proc = _run_python("-W", "error::RuntimeWarning", "-m", "convreg.cli", "--help")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_library_import_leaves_the_cli_unimported():
+    proc = _run_python("-c", "import sys, convreg; "
+                       "assert 'convreg.cli' not in sys.modules; "
+                       "assert convreg.cli.main is sys.modules['convreg.cli'].main")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_optimize_writes_trajectory_and_kernel(tmp_path):
@@ -103,8 +152,16 @@ def test_check_grad_passes_on_clean_gradients(capsys):
     assert "max relative error" in out
 
 
-def test_check_grad_detects_a_corrupted_gradient():
-    assert main(["check-grad", "--k", "3", "--n", "4", "--corrupt-grad"]) == 1
+def test_check_grad_detects_a_corrupted_gradient(monkeypatch):
+    real = convreg.cli.gradient_fast
+
+    def off_by_one_percent(tm, alpha):
+        grad = real(tm, alpha)
+        shift = 0.01 * max(float(np.max(np.abs(grad.values))), 1.0)
+        return PenaltyGradient(values=grad.values + shift, penalty=grad.penalty)
+
+    monkeypatch.setattr(convreg.cli, "gradient_fast", off_by_one_percent)
+    assert main(["check-grad", "--k", "3", "--n", "4"]) == 1
 
 
 def test_dump_matrix_identity(tmp_path):

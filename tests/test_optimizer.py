@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+import convreg.spectrum
+import convreg.transform
 from convreg import (
     ConfigurationError,
     DivergenceError,
     Kernel,
     RunConfig,
     StepSchedule,
+    build_transform,
     delta_kernel,
     descend,
     penalty,
@@ -90,7 +93,7 @@ def test_final_record_describes_returned_kernel():
     res = descend(random_kernel(3, 1, 1, seed=40), cfg, StepSchedule.constant(1e-4))
     last = res.records[-1]
     assert last.iteration == 4
-    assert last.penalty == penalty(res.kernel, cfg.regularizer())
+    assert last.penalty == penalty(build_transform(res.kernel, cfg.n), cfg.alpha)
     assert last.sigma_max is not None and last.sigma_min is not None
 
 
@@ -167,3 +170,20 @@ def test_input_smaller_than_filter_warns():
     with pytest.warns(UserWarning):
         res = descend(delta_kernel(5), cfg, StepSchedule.constant(1e-3))
     assert res.records[0].penalty == 0.0
+
+
+def test_one_gram_per_recorded_iteration(monkeypatch):
+    # penalty, gradient and spectrum of an iteration share one Gram product
+    calls = []
+    real = convreg.transform.gram_of
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(convreg.transform, "gram_of", counting)
+    monkeypatch.setattr(convreg.spectrum, "gram_of", counting)
+    cfg = RunConfig(alpha=1.0, n=4, max_iter=5, stop_tol=0.0, spectrum_every=1)
+    res = descend(random_kernel(3, 2, 1, seed=44), cfg, StepSchedule.constant(1e-4))
+    assert all(r.sigma_max is not None for r in res.records)
+    assert len(calls) == cfg.max_iter + 1

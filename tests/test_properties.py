@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from convreg import (RegularizerConfig, gradient_direct, gradient_fast,
-                     penalty, random_kernel)
+from convreg import (build_transform, gradient_direct, gradient_fast, penalty,
+                     random_kernel, singular_extrema)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
@@ -38,7 +38,7 @@ def test_penalty_equals_literal_dense_sum(geo, alpha):
     k, g, h, n, seed = geo
     kernel = random_kernel(k, g, h, seed)
     want = oracles.dense_penalty(kernel, n, alpha)
-    got = penalty(kernel, RegularizerConfig(alpha=alpha, n=n))
+    got = penalty(build_transform(kernel, n), alpha)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -47,7 +47,7 @@ def test_penalty_equals_literal_dense_sum(geo, alpha):
 def test_penalty_floor_of_wide_matrices(geo, alpha):
     # M^T M of a wide M has at least cols - rows zero eigenvalues.
     k, g, h, n, seed = geo
-    got = penalty(random_kernel(k, g, h, seed), RegularizerConfig(alpha=alpha, n=n))
+    got = penalty(build_transform(random_kernel(k, g, h, seed), n), alpha)
     assert got >= alpha ** 2 * max(g - h, 0) * n * n
 
 
@@ -55,8 +55,21 @@ def test_penalty_floor_of_wide_matrices(geo, alpha):
 @given(geometries, alphas)
 def test_gradient_routes_agree(geo, alpha):
     k, g, h, n, seed = geo
-    kernel = random_kernel(k, g, h, seed)
-    cfg = RegularizerConfig(alpha=alpha, n=n)
-    fast = gradient_fast(kernel, cfg)
-    direct = gradient_direct(kernel, cfg)
+    tm = build_transform(random_kernel(k, g, h, seed), n)
+    fast = gradient_fast(tm, alpha)
+    direct = gradient_direct(tm, alpha)
     assert rel_gap(fast.values, direct.values) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(geometries)
+def test_sigma_max_within_the_symbol_bound(geo):
+    # Sedghi, Gupta & Long (ICLR 2019): the zero-padded M is a compression
+    # of the circulant convolution on an L x L torus, L = N + k - 1, whose
+    # singular values are those of the symbol K_hat(w) on the L x L DFT grid.
+    k, g, h, n, seed = geo
+    kernel = random_kernel(k, g, h, seed)
+    size = n + k - 1
+    symbol = np.fft.fft2(kernel.values, s=(size, size), axes=(0, 1))
+    bound = float(np.max(np.linalg.norm(symbol, ord=2, axis=(2, 3))))
+    assert singular_extrema(build_transform(kernel, n)).sigma_max <= (1 + 1e-12) * bound

@@ -213,6 +213,26 @@ def test_kernel_json_count_mismatch_rejected():
         tensor_from_json('{"k":2,"g":1,"h":1,"data":[1.0,2.0,3.0]}')
 
 
+@pytest.mark.parametrize("text", ['[1, 1, 1, [1.0]]', '"kernel"', '3.5', 'null'])
+def test_kernel_json_non_object_document_rejected(text):
+    with pytest.raises(ConfigurationError):
+        tensor_from_json(text)
+
+
+@pytest.mark.parametrize("field", ["k", "g", "h", "data"])
+def test_kernel_json_missing_field_rejected(field):
+    doc = {"k": 1, "g": 1, "h": 1, "data": [2.0]}
+    del doc[field]
+    with pytest.raises(ConfigurationError):
+        tensor_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("data", [["x"], [{"v": 1.0}], [[1.0], [2.0, 3.0]]])
+def test_kernel_json_non_numeric_data_rejected(data):
+    with pytest.raises(ConfigurationError):
+        tensor_from_json(json.dumps({"k": 1, "g": 1, "h": 1, "data": data}))
+
+
 def test_random_kernel_fills_in_c_order():
     from convreg import SeededGaussian
 
