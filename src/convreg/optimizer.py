@@ -159,11 +159,14 @@ def read_trajectory_csv(path) -> list[IterationRecord]:
             raise ConfigurationError(
                 f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
         it, lam, pen, gf, smax, smin = fields
-        records.append(IterationRecord(
-            iteration=int(it), lam=float(lam), penalty=float(pen),
-            grad_fro=float(gf),
-            sigma_max=float(smax) if smax else None,
-            sigma_min=float(smin) if smin else None))
+        try:
+            records.append(IterationRecord(
+                iteration=int(it), lam=float(lam), penalty=float(pen),
+                grad_fro=float(gf),
+                sigma_max=float(smax) if smax else None,
+                sigma_min=float(smin) if smin else None))
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
     return records
 
 
@@ -225,7 +228,8 @@ def descend(k0: Kernel, cfg: RunConfig, schedule: StepSchedule) -> DescentResult
             break
         if final:
             break
-        step = kernel.values - lam * pg.values
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = kernel.values - lam * pg.values
         if not np.all(np.isfinite(step)):
             raise DivergenceError(f"non-finite update at iteration {iteration}",
                                   records)

@@ -1,23 +1,31 @@
 """Frobenius penalty ||M^T M - alpha I||_F^2 and its kernel gradient.
 
 ``penalty`` and ``gradient_fast`` work on the Gram matrix S of the
-smaller side of M (``transform.gram_of``): S = M^T M when M is tall or square, else
-M M^T.  The two Grams share their nonzero eigenvalues, and M^T M of a
-wide M has cols - rows extra zero eigenvalues, so
+smaller side of M in stencil storage (``TransformMatrix.gram``, see
+``transform.StencilGram``): S = F^T F with F = M when M is tall or
+square and F = M^T, itself a "same" convolution, when M is wide.  The
+two Grams share their nonzero eigenvalues, and M^T M of a wide M has
+cols - rows extra zero eigenvalues, so with R = S - alpha I
 
-    ||M^T M - alpha I||_F^2 = ||S - alpha I||_F^2
-                              + alpha^2 * max(cols - rows, 0).
+    ||M^T M - alpha I||_F^2 = ||R||_F^2 + alpha^2 * max(cols - rows, 0),
+
+and ||R||_F^2 is the sum of squares of R's stencil coefficients.
 
 Every entry point takes the prepared matrix ``tm`` (from
 ``build_transform`` or ``tm.refresh``) and alpha, and reads the kernel
 shape from ``tm.geometry``.  Three gradient routes with one contract:
 
-* ``gradient_fast`` -- the derivative of the penalty in a single matrix
-  slot (i, j) is 4*(M E)[i, j] with E = M^T M - alpha I, and
-  M E = M (S - alpha I) for tall M, (S - alpha I) M for wide M.  The
-  kernel gradient is 4 times the per-coordinate sums of that sparse
-  product, sampled at M's slots, over the omega sets.  This is the
-  production route.
+* ``gradient_fast`` -- the derivative of the penalty in F's slot (i, j)
+  is 4 (F R)[i, j], and F's slots carrying kernel entry (u, z, y) are
+  those of its input positions a whose tap u is inside the grid.  Per
+  spatial axis, with taps[u, a] from ``StencilGram``,
+
+      grad[u, z, y] = 4 sum_{D, z2} K[u + D, z2, y]
+                        sum_a R[(z, a), (z2, a + D)] taps[u, a],
+
+  read straight off the stencil coefficients; for wide M the gradient
+  of F's kernel is flipped and channel-swapped back onto K.  This is
+  the production route.
 * ``gradient_direct`` -- literal per-slot summation: for every omega
   position (i, j) of a kernel coordinate, accumulate
   sum_t E[j,t]*M[i,t] + sum_s E[s,j]*M[i,s] with the dense
@@ -32,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .tensors import ConfigurationError, Kernel
 from .transform import TransformMatrix
@@ -50,15 +57,21 @@ class PenaltyGradient:
         return float(np.linalg.norm(self.values))
 
 
-def _residual(tm: TransformMatrix, alpha: float) -> tuple[sp.csr_array, float]:
-    """S - alpha I for the Gram S of ``tm``, and the penalty value."""
+def _residual(tm: TransformMatrix, alpha: float) -> tuple[np.ndarray, float]:
+    """Stencil coefficients of S - alpha I for the Gram S of ``tm``, and
+    the penalty value."""
     if alpha < 0:
         raise ConfigurationError(f"alpha must be nonnegative, got {alpha}")
-    gram = tm.gram()
-    dim = gram.shape[0]
-    resid = (gram - alpha * sp.eye_array(dim, format="csr")).tocsr()
-    # a wide M's Gram M^T M has cols - dim more zero eigenvalues than S
-    return resid, float(np.dot(resid.data, resid.data)) + alpha ** 2 * (tm.cols - dim)
+    coeffs = tm.gram().coeffs
+    width, _, channels = coeffs.shape[:3]
+    resid = coeffs.copy()
+    diag = np.arange(channels)
+    resid[width // 2, width // 2, diag, diag] -= alpha   # D = 0, z1 = z2
+    flat = resid.reshape(-1)
+    with np.errstate(over="ignore"):
+        sum_sq = float(np.dot(flat, flat))
+    # a wide M's Gram M^T M has cols - rows more zero eigenvalues than S
+    return resid, sum_sq + alpha ** 2 * max(tm.cols - tm.rows, 0)
 
 
 def _kernel_shape(tm: TransformMatrix) -> tuple[int, int, int, int]:
@@ -72,16 +85,18 @@ def penalty(tm: TransformMatrix, alpha: float) -> float:
 
 
 def gradient_fast(tm: TransformMatrix, alpha: float) -> PenaltyGradient:
-    """Full penalty gradient via per-coordinate sums of 4 * (M E)."""
+    """Full penalty gradient read off the stencil Gram (module docstring)."""
     resid, pen = _residual(tm, alpha)
-    # M E, read below only at M's slots
-    prod = tm.csr @ resid if resid.shape[0] == tm.cols else resid @ tm.csr
-    slot_rows, slot_cols = tm.slot_positions()
-    shape = _kernel_shape(tm)
-    sums = np.bincount(tm.gather_coords(),
-                       weights=prod[slot_rows, slot_cols],
-                       minlength=int(np.prod(shape)))
-    return PenaltyGradient(values=4.0 * sums.reshape(shape), penalty=pen)
+    gram = tm.gram()
+    with np.errstate(over="ignore", invalid="ignore"):
+        # inner[u1, u2, d1, d2, z, z2] = sum_a R[D, z, z2, a] taps[u, a]
+        inner = np.einsum("dezwab,pa,qb->pqdezw", resid, gram.taps, gram.taps,
+                          optimize=True)
+        grad = 4.0 * np.einsum("pqwyde,pqdezw->pqzy", gram.shifted, inner,
+                               optimize=True)
+    if gram.transposed:
+        grad = np.ascontiguousarray(grad[::-1, ::-1].swapaxes(2, 3))
+    return PenaltyGradient(values=grad, penalty=pen)
 
 
 def gradient_direct(tm: TransformMatrix, alpha: float) -> PenaltyGradient:
@@ -117,10 +132,8 @@ def gradient_fd(tm: TransformMatrix, alpha: float,
     if step <= 0:
         raise ConfigurationError(f"finite-difference step must be positive, got {step}")
     pen = penalty(tm, alpha)
-    # the kernel behind M's values; an entry no slot carries stays 0,
-    # which changes neither M nor the penalty
-    base = np.zeros(_kernel_shape(tm))
-    base.reshape(-1)[tm.gather_coords()] = tm.csr.data
+    kernel = tm.kernel
+    base = kernel.values
     grad = np.zeros_like(base)
     flat = grad.reshape(-1)
     for idx in range(base.size):
@@ -130,5 +143,5 @@ def gradient_fd(tm: TransformMatrix, alpha: float,
         plus = penalty(tm, alpha)
         tm.refresh(Kernel(base - shift.reshape(base.shape)))
         flat[idx] = (plus - penalty(tm, alpha)) / (2 * step)
-    tm.refresh(Kernel(base))
+    tm.refresh(kernel)
     return PenaltyGradient(values=grad, penalty=pen)

@@ -1,11 +1,13 @@
 """Extreme singular values of the transformation matrix.
 
 Both extremes come from one dense symmetric eigendecomposition of the
-Gram matrix on M's smaller side (``transform.gram_of``; for a
-``TransformMatrix`` its cached ``gram()``), exact at desk scale.  A
-pure dense-SVD path over the materialized matrix serves as the oracle.
-sigma_min is the smallest of the min(rows, cols) singular values, zeros
-included.
+Gram matrix on M's smaller side, exact at desk scale.  For a
+``TransformMatrix`` that Gram is the stencil Gram the penalty already
+formed (``TransformMatrix.gram``), scattered into a fresh dense array
+that ``eigvalsh`` overwrites in place; any other matrix has its Gram
+formed by a matrix product.  A pure dense-SVD path over the materialized
+matrix serves as the oracle.  sigma_min is the smallest of the
+min(rows, cols) singular values, zeros included.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .tensors import ConfigurationError
-from .transform import TransformMatrix, gram_of
+from .transform import TransformMatrix
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,19 @@ def _as_matrix(m) -> sp.csr_array | np.ndarray:
     return np.asarray(m, dtype=np.float64)
 
 
+def _gram_of(a) -> np.ndarray:
+    """Dense Gram of ``a`` on its smaller side.
+
+    M^T M when cols <= rows, else M M^T.  Both share their nonzero
+    eigenvalues; the smaller one holds the min(rows, cols) squared
+    singular values of ``a``, and the larger one only adds
+    |rows - cols| zeros.
+    """
+    rows, cols = a.shape
+    gram = (a.T @ a) if cols <= rows else (a @ a.T)
+    return gram.toarray() if sp.issparse(gram) else gram
+
+
 def singular_extrema(m, method: str = "gram") -> SpectralEstimate:
     """sigma_max and sigma_min of a transformation matrix.
 
@@ -59,8 +74,13 @@ def singular_extrema(m, method: str = "gram") -> SpectralEstimate:
         raise ConfigurationError(f"unknown spectral method {method!r}")
 
     # a TransformMatrix hands over the Gram the penalty already formed
-    gram = m.gram() if isinstance(m, TransformMatrix) else gram_of(_as_matrix(m))
-    eigs = sla.eigvalsh(gram.toarray() if sp.issparse(gram) else gram)
+    if isinstance(m, TransformMatrix):
+        gram = m.gram().to_dense()
+    else:
+        gram = _gram_of(_as_matrix(m))
+    # the symmetric Gram's transpose is a Fortran-ordered view of itself,
+    # which LAPACK overwrites without taking a copy
+    eigs = sla.eigvalsh(gram.T, overwrite_a=True, check_finite=True)
     # rounding can push an eigenvalue of a singular Gram a hair below 0
     return SpectralEstimate(sigma_max=float(np.sqrt(max(eigs[-1], 0.0))),
                             sigma_min=float(np.sqrt(max(eigs[0], 0.0))))

@@ -10,17 +10,27 @@ offset lands inside the filter.
 Every structural slot is stored explicitly, including value-zero ones,
 so the sparsity pattern depends only on the geometry (k, g, h, N) and
 survives arbitrary kernel updates.  Each stored slot records the flat
-kernel coordinate (p, q, z, y) whose value it carries; gradient
-accumulation, in-place value refresh and the omega sets (all matrix
-positions of one coordinate) all run through that map.
+kernel coordinate (p, q, z, y) whose value it carries; in-place value
+refresh and the omega sets (all matrix positions of one coordinate) run
+through that map.
+
+The Gram S on M's smaller side (``TransformMatrix.gram``) is not formed
+from the sparse matrix.  S is itself a (2k-1) x (2k-1) stencil whose
+coefficients are the kernel's autocorrelation, cut off near the image
+border (Sedghi, Gupta & Long, *The Singular Values of Convolutional
+Layers*, ICLR 2019), so ``stencil_gram`` computes it straight from the
+kernel into a (2k-1, 2k-1, c, c, N, N) array; ``StencilGram.to_dense``
+scatters it into the dense c*N^2 x c*N^2 matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensors import ConfigurationError, Kernel
 
@@ -40,6 +50,98 @@ class Geometry:
     @property
     def cols(self) -> int:
         return self.g * self.n * self.n
+
+
+@dataclass(frozen=True)
+class StencilGram:
+    """Gram S = F^T F of a "same" convolution F, in stencil storage.
+
+    F is M when M is tall or square and M^T when it is wide, so S is the
+    Gram on M's smaller side.  M^T is itself a "same" convolution: its
+    kernel is K[::-1, ::-1] with the channel axes swapped, centered at
+    k - 1 - c instead of c = ceil(k/2) - 1.  With D = (d1, d2) - (k - 1)
+    and a = (a1, a2) a spatial position of F's input,
+
+        coeffs[d1, d2, z1, z2, a1, a2] = S[(z1, a), (z2, a + D)],
+
+    0 where a + D leaves the N x N grid.  Every entry of S within the
+    band appears once; S is 0 outside it.  Treat the arrays as read-only.
+    """
+
+    coeffs: np.ndarray   # (2k-1, 2k-1, c, c, N, N)
+    shifted: np.ndarray  # shifted[u1, u2, z, y, d1, d2] = F's kernel at u + D, else 0
+    taps: np.ndarray     # taps[u, a] = 1 when F's kernel row u reads input row a
+    transposed: bool     # F = M^T
+
+    def to_dense(self) -> np.ndarray:
+        """S as a fresh dense C-ordered array."""
+        width, _, channels, _, n, _ = self.coeffs.shape
+        dim = channels * n * n
+        # the extra last slot takes the coefficients whose a + D leaves
+        # the grid, which are all 0
+        flat = np.zeros(dim * dim + 1)
+        flat[_scatter_index(width, channels, n)] = self.coeffs.reshape(-1)
+        return flat[:-1].reshape(dim, dim)
+
+
+def stencil_gram(kernel: Kernel, n: int) -> StencilGram:
+    """The Gram on the smaller side of ``kernel``'s M for N x N inputs.
+
+    With F's kernel K and taps[u, a] = [0 <= a - u + c < N] per axis,
+    S[(z1, a), (z2, a + D)] sums K[u, z1, y] K[u + D, z2, y] over y and
+    over the taps u with taps[u, a] = 1.  Overflow propagates as inf or
+    nan without a warning; the caller checks finiteness.
+    """
+    values, center = kernel.values, kernel.m - 1
+    transposed = kernel.g > kernel.h
+    if transposed:
+        values, center = values[::-1, ::-1].swapaxes(2, 3), kernel.k - 1 - center
+    k = kernel.k
+    width = 2 * k - 1
+    padded = np.pad(values, ((k - 1, k - 1), (k - 1, k - 1), (0, 0), (0, 0)))
+    shifted = sliding_window_view(padded, (width, width), axis=(0, 1))
+    rows = np.arange(n) - np.arange(k)[:, None] + center
+    taps = ((rows >= 0) & (rows < n)).astype(np.float64)
+    inside = _shift_inside(k, n).astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        auto = np.einsum("pqzy,pqwyde->pqdezw", values, shifted, optimize=True)
+        coeffs = np.einsum("pqdezw,pa,qb->dezwab", auto, taps, taps, optimize=True)
+        coeffs *= inside[:, None, None, None, :, None]
+        coeffs *= inside[None, :, None, None, None, :]
+    return StencilGram(coeffs=coeffs, shifted=shifted, taps=taps,
+                       transposed=transposed)
+
+
+def _shift_inside(k: int, n: int) -> np.ndarray:
+    """inside[d, a] = [0 <= a + d - (k - 1) < N], per spatial axis."""
+    ends = np.arange(n) + np.arange(2 * k - 1)[:, None] - (k - 1)
+    return (ends >= 0) & (ends < n)
+
+
+@functools.lru_cache(maxsize=8)
+def _scatter_index(width: int, channels: int, n: int) -> np.ndarray:
+    """Flat position in the dense Gram of every stencil coefficient.
+
+    Aligned with ``StencilGram.coeffs.reshape(-1)``; a coefficient whose
+    a + D leaves the grid maps to the extra slot dim * dim.  Built once
+    per geometry.
+    """
+    k = (width + 1) // 2
+    nn = n * n
+    dim = channels * nn
+    a = np.arange(n)
+    ends = a + np.arange(width)[:, None] - (k - 1)     # a + D, (width, n)
+    inside = _shift_inside(k, n)
+    chan = np.arange(channels)
+    # row (z1, a1, a2), column (z2, a1 + D1, a2 + D2), flat row * dim + column
+    flat = (chan[:, None] * (nn * dim) + chan * nn).reshape(1, 1, channels, channels, 1, 1) \
+        + (a * (n * dim) + ends * n).reshape(width, 1, 1, 1, n, 1) \
+        + (a * dim + ends).reshape(1, width, 1, 1, 1, n)
+    keep = inside.reshape(width, 1, 1, 1, n, 1) & inside.reshape(1, width, 1, 1, 1, n)
+    flat = np.where(keep, flat, dim * dim).reshape(-1)
+    index = flat.astype(np.int32 if dim * dim < 2 ** 31 else np.int64)
+    index.setflags(write=False)
+    return index
 
 
 class TransformMatrix:
@@ -67,7 +169,8 @@ class TransformMatrix:
         self._csr = sp.csr_array(
             (kernel.values.reshape(-1)[coords], cols, indptr),
             shape=(self.geometry.rows, self.geometry.cols))
-        self._gram: sp.csr_array | None = None
+        self._kernel = kernel
+        self._gram: StencilGram | None = None
 
     @staticmethod
     def _structure(geo: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,6 +223,11 @@ class TransformMatrix:
         """The underlying CSR storage (treat as read-only)."""
         return self._csr
 
+    @property
+    def kernel(self) -> Kernel:
+        """The kernel the matrix was built or last refreshed with."""
+        return self._kernel
+
     def refresh(self, kernel: Kernel) -> None:
         """Rewrite stored values from ``kernel``; structure is untouched."""
         geo = self.geometry
@@ -128,6 +236,7 @@ class TransformMatrix:
                 f"kernel {kernel.values.shape} does not match geometry "
                 f"({geo.k}, {geo.k}, {geo.g}, {geo.h})")
         self._csr.data[:] = kernel.values.reshape(-1)[self._gather]
+        self._kernel = kernel
         self._gram = None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -137,14 +246,14 @@ class TransformMatrix:
                 f"expected a vector of length {self.cols}, got shape {x.shape}")
         return self._csr @ x
 
-    def gram(self) -> sp.csr_array:
-        """Gram matrix on M's smaller side (see ``gram_of``), sparse CSR.
+    def gram(self) -> StencilGram:
+        """Gram on M's smaller side in stencil storage (``stencil_gram``).
 
-        Formed once per set of values and kept until the next
-        ``refresh``; treat it as read-only.
+        Formed from the kernel once per set of values and kept until the
+        next ``refresh``.
         """
         if self._gram is None:
-            self._gram = gram_of(self._csr).tocsr()
+            self._gram = stencil_gram(self._kernel, self.geometry.n)
         return self._gram
 
     def omega(self, p: int, q: int, z: int, y: int) -> list[tuple[int, int]]:
@@ -168,8 +277,7 @@ class TransformMatrix:
 
         Ids are C-order indices into the (k, k, g, h) kernel tensor; the
         array is aligned slot-for-slot with ``slot_positions`` and the
-        CSR data array, so a bincount over it accumulates per-coordinate
-        sums across each omega set in one pass.
+        CSR data array.
         """
         return self._gather
 
@@ -181,18 +289,6 @@ class TransformMatrix:
 
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
-
-
-def gram_of(a):
-    """Gram matrix of ``a`` on its smaller side.
-
-    M^T M when cols <= rows, else M M^T.  Both share their nonzero
-    eigenvalues; the smaller one holds the min(rows, cols) squared
-    singular values of ``a``, and the larger one only adds
-    |rows - cols| zeros.
-    """
-    rows, cols = a.shape
-    return (a.T @ a) if cols <= rows else (a @ a.T)
 
 
 def build_transform(kernel: Kernel, n: int) -> TransformMatrix:

@@ -65,6 +65,16 @@ def test_trajectory_csv_row_without_six_fields_rejected(tmp_path, row):
         read_trajectory_csv(path)
 
 
+@pytest.mark.parametrize("row", ["x,1,2,3,,", "0,1e-05,1,2,big,4"])
+def test_trajectory_csv_row_with_a_bad_number_rejected(tmp_path, row):
+    # a bad int (iter) and a bad float (sigma_max) field
+    path = tmp_path / "t.csv"
+    path.write_text("iter,lambda,penalty,grad_fro,sigma_max,sigma_min\n"
+                    "0,1e-05,1,2,,\n" + row + "\n")
+    with pytest.raises(ConfigurationError, match=r"t\.csv:3: "):
+        read_trajectory_csv(path)
+
+
 def _run_python(*args):
     src = str(Path(convreg.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,9 +1,10 @@
 """Tests for the descent loop and its step schedule."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-import convreg.spectrum
 import convreg.transform
 from convreg import (
     ConfigurationError,
@@ -165,6 +166,16 @@ def test_oversized_step_raises_divergence_error():
     assert info.value.records[0].iteration == 0
 
 
+def test_overflowing_step_raises_divergence_error():
+    # lam * G overflows: reported as divergence, with no numpy warning
+    cfg = RunConfig(alpha=1.0, n=4, max_iter=3, stop_tol=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="non-finite update") as info:
+            descend(random_kernel(3, 1, 1, seed=1), cfg, StepSchedule.constant(1e307))
+    assert [r.iteration for r in info.value.records] == [0]
+
+
 def test_input_smaller_than_filter_warns():
     cfg = RunConfig(alpha=1.0, n=3, max_iter=1, stop_tol=0.0)
     with pytest.warns(UserWarning):
@@ -173,16 +184,15 @@ def test_input_smaller_than_filter_warns():
 
 
 def test_one_gram_per_recorded_iteration(monkeypatch):
-    # penalty, gradient and spectrum of an iteration share one Gram product
+    # penalty, gradient and spectrum of an iteration share one stencil Gram
     calls = []
-    real = convreg.transform.gram_of
+    real = convreg.transform.stencil_gram
 
-    def counting(a):
-        calls.append(a.shape)
-        return real(a)
+    def counting(kernel, n):
+        calls.append(kernel.values.shape)
+        return real(kernel, n)
 
-    monkeypatch.setattr(convreg.transform, "gram_of", counting)
-    monkeypatch.setattr(convreg.spectrum, "gram_of", counting)
+    monkeypatch.setattr(convreg.transform, "stencil_gram", counting)
     cfg = RunConfig(alpha=1.0, n=4, max_iter=5, stop_tol=0.0, spectrum_every=1)
     res = descend(random_kernel(3, 2, 1, seed=44), cfg, StepSchedule.constant(1e-4))
     assert all(r.sigma_max is not None for r in res.records)

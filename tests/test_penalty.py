@@ -1,5 +1,7 @@
 """Tests for the Gram penalty and its three gradient routes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,12 +147,17 @@ def test_finite_difference_step_validation():
 
 
 def test_non_finite_gradient_payload_rejected():
-    # M = 1e200 I overflows its Gram: the descent reports divergence
-    # before it records or takes a step.
+    # M = 1e200 I overflows its Gram, M = 1e100 I the penalty's sum of
+    # squares: the descent reports divergence before it records or takes
+    # a step, and no numpy overflow warning escapes the library.
     cfg = RunConfig(alpha=1.0, n=2, max_iter=3, stop_tol=0.0)
-    with pytest.raises(DivergenceError, match="non-finite") as info:
-        descend(Kernel(np.full((1, 1, 1, 1), 1e200)), cfg, StepSchedule.constant(1e-3))
-    assert info.value.records == []
+    for scale in (1e100, 1e200):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match="non-finite") as info:
+                descend(Kernel(np.full((1, 1, 1, 1), scale)), cfg,
+                        StepSchedule.constant(1e-3))
+        assert info.value.records == []
 
 
 def test_config_validation():

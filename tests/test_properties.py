@@ -1,9 +1,10 @@
 """Property tests of the penalty and its gradient over random geometries.
 
-The geometries cover tall (h > g), wide (g > h) and square matrices;
-the penalty is checked against the literal dense sum of squares of
-M^T M - alpha I, whatever side of M the production path takes its Gram
-on.
+The geometries cover tall (h > g), wide (g > h) and square matrices,
+odd and even filter sizes (for even k the wide side's M^T is centered
+differently from M) and inputs smaller than the filter; the penalty is
+checked against the literal dense sum of squares of M^T M - alpha I,
+whatever side of M the production path takes its Gram on.
 """
 
 import numpy as np
@@ -11,19 +12,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from convreg import (build_transform, gradient_direct, gradient_fast, penalty,
-                     random_kernel, singular_extrema)
+from convreg import (Kernel, build_transform, delta_kernel, gradient_direct,
+                     gradient_fast, penalty, random_kernel, singular_extrema)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
 
-geometries = st.tuples(
-    st.sampled_from((1, 3, 5)),                # k
-    st.integers(min_value=1, max_value=3),     # g
-    st.integers(min_value=1, max_value=3),     # h
-    st.integers(min_value=1, max_value=5),     # n
-    st.integers(min_value=0, max_value=2**32), # kernel seed
-)
+
+def geometry_tuples(sizes):
+    return st.tuples(
+        st.sampled_from(sizes),                    # k
+        st.integers(min_value=1, max_value=3),     # g
+        st.integers(min_value=1, max_value=3),     # h
+        st.integers(min_value=1, max_value=5),     # n
+        st.integers(min_value=0, max_value=2**32), # kernel seed
+    )
+
+
+geometries = geometry_tuples((1, 2, 3, 4, 5))
 alphas = st.floats(min_value=0.0, max_value=2.0)
 
 
@@ -73,3 +79,35 @@ def test_sigma_max_within_the_symbol_bound(geo):
     symbol = np.fft.fft2(kernel.values, s=(size, size), axes=(0, 1))
     bound = float(np.max(np.linalg.norm(symbol, ord=2, axis=(2, 3))))
     assert singular_extrema(build_transform(kernel, n)).sigma_max <= (1 + 1e-12) * bound
+
+
+@PROPERTY_SETTINGS
+@given(geometry_tuples((1, 3, 5)), alphas)
+def test_transpose_symmetry(geo, alpha):
+    # For odd k, K' = K[::-1, ::-1] with its channel axes swapped realizes
+    # M^T: the penalties differ by the alpha^2 of each extra zero
+    # eigenvalue of the wider matrix's Gram, and the gradients map onto
+    # each other.
+    k, g, h, n, seed = geo
+    kernel = random_kernel(k, g, h, seed)
+    swapped = Kernel(kernel.values[::-1, ::-1].swapaxes(2, 3))
+    tm, tm_t = build_transform(kernel, n), build_transform(swapped, n)
+    assert np.array_equal(tm_t.to_dense(), tm.to_dense().T)
+    pen, pen_t = penalty(tm, alpha), penalty(tm_t, alpha)
+    want = alpha ** 2 * n * n * (g - h)
+    assert abs((pen - pen_t) - want) <= 1e-12 * max(pen, pen_t)
+    grad = gradient_fast(tm, alpha).values
+    grad_t = gradient_fast(tm_t, alpha).values
+    assert rel_gap(grad_t, grad[::-1, ::-1].swapaxes(2, 3)) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=1, max_value=5),   # k
+       st.integers(min_value=1, max_value=3),   # g = h
+       st.integers(min_value=1, max_value=6))   # n
+def test_delta_kernel_is_stationary(k, channels, n):
+    tm = build_transform(delta_kernel(k, g=channels, h=channels), n)
+    grad = gradient_fast(tm, 1.0)
+    assert penalty(tm, 1.0) == 0.0
+    assert grad.penalty == 0.0
+    assert np.array_equal(grad.values, np.zeros_like(grad.values))

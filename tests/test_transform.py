@@ -112,17 +112,24 @@ def test_matvec_dimension_check():
 
 def test_gram_of_delta_is_identity():
     tm = build_transform(delta_kernel(3, g=2, h=2), 3)
-    assert np.array_equal(tm.gram().toarray(), np.eye(18))
+    assert np.array_equal(tm.gram().to_dense(), np.eye(18))
 
 
 def test_gram_matches_naive_triple_loop():
     # The Gram is taken on M's smaller side: M M^T for wide M, M^T M
     # for tall M.
-    wide = build_transform(random_kernel(3, 2, 1, seed=9), 3)
-    tall = build_transform(random_kernel(3, 1, 2, seed=9), 3)
-    for tm, want in ((wide, oracles.naive_gram(wide.to_dense().T)),
-                     (tall, oracles.naive_gram(tall.to_dense()))):
-        got = tm.gram().toarray()
+    for k, g, h, n in [
+        (3, 2, 1, 3),   # wide
+        (3, 1, 2, 3),   # tall
+        (2, 2, 1, 3),   # even k, wide: M^T's center differs from M's
+        (4, 1, 2, 4),   # even k, tall
+        (4, 3, 2, 2),   # input smaller than the filter
+        (5, 1, 1, 3),
+    ]:
+        tm = build_transform(random_kernel(k, g, h, seed=9), n)
+        dense = tm.to_dense()
+        want = oracles.naive_gram(dense.T if g > h else dense)
+        got = tm.gram().to_dense()
         assert got.shape == (min(tm.rows, tm.cols),) * 2
         assert np.allclose(got, want, rtol=0, atol=1e-13)
         assert np.max(np.abs(got - got.T)) <= 1e-14
